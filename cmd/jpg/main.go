@@ -121,9 +121,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *useCache || *cacheDir != "" {
-		proj.Cache = cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""})
-	}
+	proj.Cache = cache.Open(*useCache, *cacheDir)
 	fmt.Printf("project: %s, base bitstream %d bytes\n", proj.Part, len(baseBS))
 
 	_, sp = obs.Start(ctx, "xdl.parse")
@@ -232,9 +230,7 @@ func serveDaemon(addr, logLevel string, useCache bool, cacheDir string) error {
 	cfg := jpgd.Config{
 		Logger: jpglog.New(os.Stderr, level),
 		Serve:  jpgd.ServeOptionsFromEnv(),
-	}
-	if useCache || cacheDir != "" {
-		cfg.Cache = cache.New(cache.Options{Dir: cacheDir, NoDisk: cacheDir == ""})
+		Cache:  cache.Open(useCache, cacheDir),
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -265,11 +265,8 @@ func run() int {
 		Verify: *verify,
 		Faults: *faultStr, Retries: *retries, DownloadTimeout: *dlTmout,
 	}
-	var bcache *cache.Cache
-	if *useCache || *cacheDir != "" {
-		bcache = cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""})
-		cfg.Cache = bcache
-	}
+	bcache := cache.Open(*useCache, *cacheDir)
+	cfg.Cache = bcache
 	// Tracing observes only the pooled runs (the serial -json reruns stay
 	// untraced so the trace reflects one configuration); results are
 	// byte-identical with tracing on or off.

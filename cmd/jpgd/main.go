@@ -85,9 +85,7 @@ func run() error {
 			NoCoalesce:         !*coalesce,
 			RequestTimeout:     *reqTimeout,
 		},
-	}
-	if *useCache || *cacheDir != "" {
-		cfg.Cache = cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""})
+		Cache: cache.Open(*useCache, *cacheDir),
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

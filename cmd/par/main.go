@@ -62,9 +62,7 @@ func run() error {
 		col = obs.New()
 		ctx = col.Attach(ctx)
 	}
-	if *useCache || *cacheDir != "" {
-		ctx = cache.With(ctx, cache.New(cache.Options{Dir: *cacheDir, NoDisk: *cacheDir == ""}))
-	}
+	ctx = cache.With(ctx, cache.Open(*useCache, *cacheDir))
 	part, err := device.ByName(*partName)
 	if err != nil {
 		return err

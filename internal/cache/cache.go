@@ -11,9 +11,14 @@
 // The cache is a concurrency-safe in-memory LRU (bounded by entry count and
 // approximate bytes) with an optional on-disk store under $JPG_CACHE_DIR
 // (atomic rename writes, corruption-tolerant reads that degrade to a miss).
-// Lookups are single-flighted: when two workers request the same missing key
-// concurrently, one computes and the other waits for the result, so a warm
-// pool never duplicates in-flight work.
+// Lookups are single-flighted through a Group: when two workers request the
+// same missing key concurrently, one computes and the other waits for the
+// result, so a warm pool never duplicates in-flight work. When the computing
+// worker fails, its waiters are promoted one at a time: the next computes
+// and stores the value while the rest keep waiting for it.
+//
+// The package's LRU and Group are also the jpgd serving layer's artifact
+// cache and request coalescer, so each mechanism exists once.
 //
 // Correctness contract: a cache must never change results, only wall-clock.
 // Keys therefore cover every input a stage consumes, and the flow's
@@ -24,7 +29,7 @@
 package cache
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -138,15 +143,26 @@ var (
 )
 
 // Default returns the process-wide cache configured from the environment,
-// or nil when the environment does not enable one. The CLIs use it as their
-// -cache default; the library never consults it implicitly.
+// or nil when the environment does not enable one. The jpg facade exposes
+// it as DefaultCache; the CLIs read the same variables as their -cache and
+// -cache-dir flag defaults and build their cache with Open. The library
+// never consults it implicitly.
 func Default() *Cache {
 	defaultOnce.Do(func() {
 		if EnvEnabled() {
-			defaultCache = New(Options{Dir: os.Getenv(EnvDir)})
+			defaultCache = Open(true, os.Getenv(EnvDir))
 		}
 	})
 	return defaultCache
+}
+
+// Open returns the cache a -cache/-cache-dir flag pair asks for: nil when
+// neither is set, else default bounds with a disk tier under dir only.
+func Open(use bool, dir string) *Cache {
+	if !use && dir == "" {
+		return nil
+	}
+	return New(Options{Dir: dir, NoDisk: dir == ""})
 }
 
 // Options bounds a cache.
@@ -177,21 +193,11 @@ var (
 	mWaits     = obs.GetCounter("cache.flight_wait")
 )
 
+// entry is one resident value: bytes for GetOrCompute, a live object for
+// GetOrComputeValue.
 type entry struct {
-	key   Key
-	data  []byte // nil for object entries
-	obj   any
-	size  int64
-	elem  *list.Element
-	stage string
-}
-
-// flight is one in-progress computation other goroutines can wait on.
-type flight struct {
-	done chan struct{}
 	data []byte
 	obj  any
-	err  error
 }
 
 // stageCounters tracks one stage's hits and misses for Stats reporting
@@ -202,17 +208,12 @@ type stageCounters struct {
 
 // Cache is a bounded, concurrency-safe, content-addressed store.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[Key]*entry
-	lru     *list.List // front = most recently used
-	bytes   int64
-	flights map[Key]*flight
-	stages  map[string]*stageCounters
-
-	maxEntries int
-	maxBytes   int64
-	disk       *diskStore
-	evictions  int64
+	mu        sync.Mutex
+	mem       *LRU[entry]
+	stages    map[string]*stageCounters
+	evictions int64
+	flights   Group
+	disk      *diskStore
 }
 
 // New returns a cache. See Options for bounds and the disk tier.
@@ -228,12 +229,8 @@ func New(o Options) *Cache {
 		dir = os.Getenv(EnvDir)
 	}
 	c := &Cache{
-		entries:    map[Key]*entry{},
-		lru:        list.New(),
-		flights:    map[Key]*flight{},
-		stages:     map[string]*stageCounters{},
-		maxEntries: o.MaxEntries,
-		maxBytes:   o.MaxBytes,
+		mem:    NewLRU[entry](o.MaxEntries, o.MaxBytes),
+		stages: map[string]*stageCounters{},
 	}
 	if dir != "" && !o.NoDisk {
 		c.disk = &diskStore{root: dir}
@@ -272,29 +269,18 @@ func (c *Cache) stage(stage string) *stageCounters {
 	return sc
 }
 
-// insertLocked adds an entry and evicts from the LRU tail while over bounds.
-// Callers hold c.mu.
-func (c *Cache) insertLocked(stage string, k Key, data []byte, obj any, size int64) {
-	if old := c.entries[k]; old != nil {
-		c.lru.Remove(old.elem)
-		c.bytes -= old.size
-		delete(c.entries, k)
-	}
-	e := &entry{key: k, data: data, obj: obj, size: size, stage: stage}
-	e.elem = c.lru.PushFront(e)
-	c.entries[k] = e
-	c.bytes += size
-	for c.lru.Len() > 1 && (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) {
-		tail := c.lru.Back()
-		ev := tail.Value.(*entry)
-		c.lru.Remove(tail)
-		delete(c.entries, ev.key)
-		c.bytes -= ev.size
-		c.evictions++
-		mEvict.Inc()
-	}
-	mBytes.Set(c.bytes)
-	mEntries.Set(int64(c.lru.Len()))
+// insertLocked stores an entry, evicting from the LRU tail while over
+// bounds. Callers hold c.mu.
+func (c *Cache) insertLocked(k Key, e entry, size int64) {
+	n := int64(c.mem.Put(k, e, size))
+	c.evictions += n
+	mEvict.Add(n)
+	c.setGauges()
+}
+
+func (c *Cache) setGauges() {
+	mBytes.Set(c.mem.Bytes())
+	mEntries.Set(int64(c.mem.Len()))
 }
 
 // Remove drops an entry from memory and disk (used when a consumer finds an
@@ -304,17 +290,11 @@ func (c *Cache) Remove(stage string, k Key) {
 		return
 	}
 	c.mu.Lock()
-	if e := c.entries[k]; e != nil {
-		c.lru.Remove(e.elem)
-		c.bytes -= e.size
-		delete(c.entries, k)
-		mBytes.Set(c.bytes)
-		mEntries.Set(int64(c.lru.Len()))
-	}
-	disk := c.disk
+	c.mem.Remove(k)
+	c.setGauges()
 	c.mu.Unlock()
-	if disk != nil {
-		disk.remove(stage, k)
+	if c.disk != nil {
+		c.disk.remove(stage, k)
 	}
 }
 
@@ -329,78 +309,103 @@ func clone(b []byte) []byte {
 	return out
 }
 
+// lookup returns the resident entry under k when has accepts it, counting a
+// hit for stage; a miss counts nothing.
+func (c *Cache) lookup(stage string, k Key, has func(entry) bool) (entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.mem.Get(k)
+	if !ok || !has(e) {
+		return entry{}, false
+	}
+	c.countHit(stage)
+	return e, true
+}
+
+func hasData(e entry) bool { return e.data != nil }
+func hasObj(e entry) bool  { return e.obj != nil }
+
+// fromDisk promotes (stage, k) from the disk tier into memory, counting a
+// hit; it reports false without a disk tier or a valid disk entry.
+func (c *Cache) fromDisk(stage string, k Key) ([]byte, bool) {
+	if c.disk == nil {
+		return nil, false
+	}
+	data, ok := c.disk.get(stage, k)
+	if !ok {
+		return nil, false
+	}
+	c.mu.Lock()
+	c.insertLocked(k, entry{data: data}, int64(len(data)))
+	c.countHit(stage)
+	mDiskHit.Inc()
+	c.mu.Unlock()
+	return data, true
+}
+
+// countShared accounts for a follower served by another caller's flight.
+func (c *Cache) countShared(stage string) {
+	mWaits.Inc()
+	c.mu.Lock()
+	c.countHit(stage)
+	c.mu.Unlock()
+}
+
 // GetOrCompute returns the bytes stored under (stage, key), computing and
 // storing them on a miss. Concurrent callers of the same missing key are
-// single-flighted: exactly one runs compute, the rest wait for its result.
-// hit reports whether this caller's value came from the cache (or another
-// caller's flight) rather than its own compute call. Compute errors are
-// returned to every waiter and nothing is stored. On a nil cache the
-// computation runs directly.
+// single-flighted through a Group: exactly one runs compute, the rest wait
+// for its result. hit reports whether this caller's value came from the
+// cache (or another caller's flight) rather than its own compute call. A
+// compute error is returned to the caller that ran it and nothing is
+// stored; its waiters are promoted one at a time, so the next one computes
+// (and stores) while the rest keep waiting. On a nil cache the computation
+// runs directly.
 func (c *Cache) GetOrCompute(stage string, k Key, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
 	if c == nil {
 		v, err := compute()
 		return v, false, err
 	}
-	for {
-		c.mu.Lock()
-		if e := c.entries[k]; e != nil && e.data != nil {
-			c.lru.MoveToFront(e.elem)
-			c.countHit(stage)
-			data := e.data
-			c.mu.Unlock()
-			return clone(data), true, nil
+	if e, ok := c.lookup(stage, k, hasData); ok {
+		return clone(e.data), true, nil
+	}
+	// The leader's own result: its compute's slice (not a copy) on a miss.
+	var own []byte
+	var ownHit bool
+	v, shared, err := c.flights.Do(context.Background(), k, func() (any, error) {
+		// Re-check memory: the previous flight may have stored the entry
+		// between this caller's miss and its election as leader.
+		if e, ok := c.lookup(stage, k, hasData); ok {
+			own, ownHit = clone(e.data), true
+			return e.data, nil
 		}
-		if f := c.flights[k]; f != nil {
-			c.mu.Unlock()
-			mWaits.Inc()
-			<-f.done
-			if f.err != nil {
-				// The computing flight failed; this caller retries (the
-				// failure may have been its sibling's context, and the
-				// entry may have been stored by a later success).
-				return c.retryAfterFailedFlight(stage, k, compute)
-			}
-			c.mu.Lock()
-			c.countHit(stage)
-			c.mu.Unlock()
-			return clone(f.data), true, nil
+		if data, ok := c.fromDisk(stage, k); ok {
+			own, ownHit = clone(data), true
+			return data, nil
 		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[k] = f
-		c.mu.Unlock()
-
-		// Disk tier: a hit fills memory and resolves the flight.
-		if c.disk != nil {
-			if data, ok := c.disk.get(stage, k); ok {
-				c.mu.Lock()
-				c.insertLocked(stage, k, data, nil, int64(len(data)))
-				c.countHit(stage)
-				mDiskHit.Inc()
-				delete(c.flights, k)
-				c.mu.Unlock()
-				f.data = data
-				close(f.done)
-				return clone(data), true, nil
-			}
-		}
-
-		val, err = compute()
+		val, err := compute()
 		c.mu.Lock()
 		c.countMiss(stage)
-		if err == nil {
-			stored := clone(val)
-			c.insertLocked(stage, k, stored, nil, int64(len(stored)))
-			f.data = stored
+		if err != nil {
+			c.mu.Unlock()
+			return nil, err
 		}
-		f.err = err
-		delete(c.flights, k)
+		stored := clone(val)
+		c.insertLocked(k, entry{data: stored}, int64(len(stored)))
 		c.mu.Unlock()
-		close(f.done)
-		if err == nil && c.disk != nil {
-			c.disk.put(stage, k, val)
-		}
-		return val, false, err
+		own = val
+		return stored, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
+	if shared {
+		c.countShared(stage)
+		return clone(v.([]byte)), true, nil
+	}
+	if !ownHit && c.disk != nil {
+		c.disk.put(stage, k, own)
+	}
+	return own, ownHit, nil
 }
 
 // Touch probes for (stage, key) without computing. A memory hit bumps the
@@ -416,46 +421,16 @@ func (c *Cache) Touch(stage string, k Key) bool {
 	if c == nil {
 		return false
 	}
-	c.mu.Lock()
-	if e := c.entries[k]; e != nil {
-		c.lru.MoveToFront(e.elem)
-		c.countHit(stage)
-		c.mu.Unlock()
+	if _, ok := c.lookup(stage, k, func(entry) bool { return true }); ok {
 		return true
 	}
-	disk := c.disk
-	c.mu.Unlock()
-	if disk != nil {
-		if data, ok := disk.get(stage, k); ok {
-			c.mu.Lock()
-			c.insertLocked(stage, k, data, nil, int64(len(data)))
-			c.countHit(stage)
-			mDiskHit.Inc()
-			c.mu.Unlock()
-			return true
-		}
+	if _, ok := c.fromDisk(stage, k); ok {
+		return true
 	}
 	c.mu.Lock()
 	c.countMiss(stage)
 	c.mu.Unlock()
 	return false
-}
-
-// retryAfterFailedFlight re-runs the lookup after waiting on a flight that
-// errored, computing directly if the entry is still absent.
-func (c *Cache) retryAfterFailedFlight(stage string, k Key, compute func() ([]byte, error)) ([]byte, bool, error) {
-	c.mu.Lock()
-	if e := c.entries[k]; e != nil && e.data != nil {
-		c.lru.MoveToFront(e.elem)
-		c.countHit(stage)
-		data := e.data
-		c.mu.Unlock()
-		return clone(data), true, nil
-	}
-	c.countMiss(stage)
-	c.mu.Unlock()
-	v, err := compute()
-	return v, false, err
 }
 
 // GetOrComputeValue is GetOrCompute for live objects that cannot round-trip
@@ -468,43 +443,33 @@ func (c *Cache) GetOrComputeValue(stage string, k Key, compute func() (any, int6
 		v, _, err := compute()
 		return v, false, err
 	}
-	c.mu.Lock()
-	if e := c.entries[k]; e != nil && e.obj != nil {
-		c.lru.MoveToFront(e.elem)
-		c.countHit(stage)
-		obj := e.obj
-		c.mu.Unlock()
-		return obj, true, nil
+	if e, ok := c.lookup(stage, k, hasObj); ok {
+		return e.obj, true, nil
 	}
-	if f := c.flights[k]; f != nil {
-		c.mu.Unlock()
-		mWaits.Inc()
-		<-f.done
-		if f.err != nil {
-			v, _, err := compute()
-			return v, false, err
+	var ownHit bool
+	v, shared, err := c.flights.Do(context.Background(), k, func() (any, error) {
+		if e, ok := c.lookup(stage, k, hasObj); ok {
+			ownHit = true
+			return e.obj, nil
 		}
+		v, size, err := compute()
 		c.mu.Lock()
-		c.countHit(stage)
-		c.mu.Unlock()
-		return f.obj, true, nil
+		defer c.mu.Unlock()
+		c.countMiss(stage)
+		if err != nil {
+			return nil, err
+		}
+		c.insertLocked(k, entry{obj: v}, size)
+		return v, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[k] = f
-	c.mu.Unlock()
-
-	v, size, err := compute()
-	c.mu.Lock()
-	c.countMiss(stage)
-	if err == nil {
-		c.insertLocked(stage, k, nil, v, size)
-		f.obj = v
+	if shared {
+		c.countShared(stage)
+		return v, true, nil
 	}
-	f.err = err
-	delete(c.flights, k)
-	c.mu.Unlock()
-	close(f.done)
-	return v, false, err
+	return v, ownHit, nil
 }
 
 // StageStats is one stage's hit/miss record.
@@ -536,7 +501,7 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{Entries: c.lru.Len(), Bytes: c.bytes, Evictions: c.evictions}
+	s := Stats{Entries: c.mem.Len(), Bytes: c.mem.Bytes(), Evictions: c.evictions}
 	if len(c.stages) > 0 {
 		s.Stages = make(map[string]StageStats, len(c.stages))
 		names := make([]string, 0, len(c.stages))

@@ -214,6 +214,87 @@ func TestSingleFlightErrorRetries(t *testing.T) {
 	}
 }
 
+// waitForFlightWaiters blocks until n callers wait on k's open flight.
+func waitForFlightWaiters(t *testing.T, c *Cache, k Key, n int) {
+	t.Helper()
+	waitForWaiters(t, &c.flights, k, n)
+}
+
+// TestFailedLeaderPromotesOneWaiter pins the failed-flight contract of both
+// lookup forms: when the leader's compute fails (e.g. its request context
+// was cancelled) while waiters are queued, exactly one waiter recomputes and
+// stores the value, the rest share it, and the next lookup is a hit.
+func TestFailedLeaderPromotesOneWaiter(t *testing.T) {
+	boom := errors.New("boom")
+	cases := []struct {
+		name string
+		get  func(c *Cache, k Key, compute func() error) (hit bool, err error)
+	}{
+		{"GetOrCompute", func(c *Cache, k Key, compute func() error) (bool, error) {
+			_, hit, err := c.GetOrCompute("s", k, func() ([]byte, error) {
+				if err := compute(); err != nil {
+					return nil, err
+				}
+				return []byte("v"), nil
+			})
+			return hit, err
+		}},
+		{"GetOrComputeValue", func(c *Cache, k Key, compute func() error) (bool, error) {
+			_, hit, err := c.GetOrComputeValue("s", k, func() (any, int64, error) {
+				if err := compute(); err != nil {
+					return nil, 0, err
+				}
+				return "v", 1, nil
+			})
+			return hit, err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Options{NoDisk: true})
+			k := key(tc.name)
+			leaderIn, leaderGo := make(chan struct{}), make(chan struct{})
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, err := tc.get(c, k, func() error {
+					close(leaderIn)
+					<-leaderGo
+					return boom
+				})
+				leaderErr <- err
+			}()
+			<-leaderIn
+
+			const waiters = 4
+			var reruns atomic.Int64
+			rerun := func() error { reruns.Add(1); return nil }
+			var wg sync.WaitGroup
+			for i := 0; i < waiters; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := tc.get(c, k, rerun); err != nil {
+						t.Errorf("waiter: %v", err)
+					}
+				}()
+			}
+			waitForFlightWaiters(t, c, k, waiters)
+			close(leaderGo)
+			wg.Wait()
+
+			if err := <-leaderErr; !errors.Is(err, boom) {
+				t.Fatalf("leader error = %v, want boom", err)
+			}
+			if n := reruns.Load(); n != 1 {
+				t.Fatalf("compute reran %d times behind the failed leader, want 1", n)
+			}
+			if hit, err := tc.get(c, k, rerun); err != nil || !hit {
+				t.Fatalf("next lookup: hit=%v err=%v, want a hit", hit, err)
+			}
+		})
+	}
+}
+
 func TestGetOrComputeValue(t *testing.T) {
 	c := New(Options{NoDisk: true})
 	type obj struct{ n int }

@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-// Group is an exported, context-aware single-flight keyed by Key: concurrent
-// Do calls with the same key run the function once and share its value. It is
-// the request-coalescing primitive behind the jpgd serving layer, where N
-// identical in-flight HTTP requests must cost one flow execution.
+// Group is a context-aware single-flight keyed by Key: concurrent Do calls
+// with the same key run the function once and share its value. It is the
+// repo's one single-flight: the stage cache dedups concurrent lookups of a
+// missing key through it, and the jpgd serving layer coalesces N identical
+// in-flight HTTP requests into one flow execution.
 //
-// It differs from the cache's internal flight table in two ways that matter
-// at a service boundary:
+// Two properties set it apart from a plain single-flight:
 //
 //   - Waiting is cancellable. A follower whose context ends while the leader
 //     is still computing unblocks immediately with ctx.Err() instead of
@@ -30,9 +30,10 @@ type Group struct {
 }
 
 type groupFlight struct {
-	done chan struct{}
-	val  any
-	err  error
+	done    chan struct{}
+	val     any
+	err     error
+	waiters int // callers parked on done (read under Group.mu by tests)
 }
 
 // Do returns the value of fn for key k, coalescing concurrent calls: one
@@ -47,6 +48,7 @@ func (g *Group) Do(ctx context.Context, k Key, fn func() (any, error)) (val any,
 			g.flights = map[Key]*groupFlight{}
 		}
 		if f := g.flights[k]; f != nil {
+			f.waiters++
 			g.mu.Unlock()
 			select {
 			case <-f.done:
@@ -71,12 +73,4 @@ func (g *Group) Do(ctx context.Context, k Key, fn func() (any, error)) (val any,
 		close(f.done)
 		return f.val, false, f.err
 	}
-}
-
-// Pending reports whether a flight for k is currently executing (a probe for
-// metrics and tests; the answer can be stale by the time it is used).
-func (g *Group) Pending(k Key) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.flights[k] != nil
 }

@@ -16,6 +16,25 @@ func testKey(s string) Key {
 	return h.Sum()
 }
 
+// waitForWaiters blocks until n callers are parked on k's open flight.
+func waitForWaiters(t *testing.T, g *Group, k Key, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g.mu.Lock()
+		f := g.flights[k]
+		parked := f != nil && f.waiters >= n
+		g.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters never parked on the flight", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestGroupCoalescesConcurrentCalls(t *testing.T) {
 	var g Group
 	var execs atomic.Int64
@@ -37,14 +56,9 @@ func TestGroupCoalescesConcurrentCalls(t *testing.T) {
 			})
 		}(i)
 	}
-	// Let the leader start and the followers pile up, then release.
-	deadline := time.Now().Add(2 * time.Second)
-	for execs.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	for !g.Pending(testKey("a")) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Let the leader start and every follower park on its flight, then
+	// release. Releasing earlier lets a late starter open a second flight.
+	waitForWaiters(t, &g, testKey("a"), n-1)
 	close(release)
 	wg.Wait()
 

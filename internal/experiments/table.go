@@ -184,7 +184,7 @@ func (c Config) ctx() context.Context {
 }
 
 // pool renders the config's worker bound as pool options for
-// parallel.Map/Do dispatches inside experiments.
+// parallel.MapCtx/DoCtx dispatches inside experiments.
 func (c Config) pool() []parallel.Option {
 	return []parallel.Option{parallel.WithWorkers(c.Workers)}
 }

@@ -29,7 +29,6 @@ package jpgd
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -470,13 +469,13 @@ type artifact struct {
 	body   []byte
 }
 
-// artifactCache is the byte-bounded LRU of hot artifacts.
+// artifactCache is the byte-bounded LRU of hot artifacts: the stage cache's
+// LRU type under the serving layer's own mutex and jpgd.artifact.* counters
+// (kept out of the process-wide cache.* metrics). Hits hand out the shared
+// artifact itself, never a copy.
 type artifactCache struct {
-	mu       sync.Mutex
-	entries  map[cache.Key]*list.Element
-	lru      *list.List // front = most recently used
-	bytes    int64
-	maxBytes int64
+	mu  sync.Mutex
+	lru *cache.LRU[*artifact]
 
 	mHit     *obs.Counter
 	mMiss    *obs.Counter
@@ -485,16 +484,9 @@ type artifactCache struct {
 	mEntries *obs.Gauge
 }
 
-type artEntry struct {
-	key cache.Key
-	art *artifact
-}
-
 func newArtifactCache(maxBytes int64, reg *obs.Registry) *artifactCache {
 	return &artifactCache{
-		entries:  map[cache.Key]*list.Element{},
-		lru:      list.New(),
-		maxBytes: maxBytes,
+		lru:      cache.NewLRU[*artifact](0, maxBytes),
 		mHit:     reg.GetCounter("jpgd.artifact.hit"),
 		mMiss:    reg.GetCounter("jpgd.artifact.miss"),
 		mEvict:   reg.GetCounter("jpgd.artifact.evict"),
@@ -505,42 +497,23 @@ func newArtifactCache(maxBytes int64, reg *obs.Registry) *artifactCache {
 
 func (c *artifactCache) get(k cache.Key) (*artifact, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
+	art, ok := c.lru.Get(k)
+	c.mu.Unlock()
 	if !ok {
 		c.mMiss.Inc()
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
 	c.mHit.Inc()
-	return el.Value.(*artEntry).art, true
+	return art, true
 }
 
 // artOverhead approximates an entry's non-body footprint for the byte bound.
 const artOverhead = 256
 
 func (c *artifactCache) put(k cache.Key, art *artifact) {
-	size := int64(len(art.body)) + artOverhead
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		old := el.Value.(*artEntry)
-		c.bytes -= int64(len(old.art.body)) + artOverhead
-		old.art = art
-		c.bytes += size
-		c.lru.MoveToFront(el)
-	} else {
-		c.entries[k] = c.lru.PushFront(&artEntry{key: k, art: art})
-		c.bytes += size
-	}
-	for c.lru.Len() > 1 && c.bytes > c.maxBytes {
-		tail := c.lru.Back()
-		ev := tail.Value.(*artEntry)
-		c.lru.Remove(tail)
-		delete(c.entries, ev.key)
-		c.bytes -= int64(len(ev.art.body)) + artOverhead
-		c.mEvict.Inc()
-	}
-	c.mBytes.Set(c.bytes)
+	c.mEvict.Add(int64(c.lru.Put(k, art, int64(len(art.body))+artOverhead)))
+	c.mBytes.Set(c.lru.Bytes())
 	c.mEntries.Set(int64(c.lru.Len()))
 }

@@ -213,12 +213,6 @@ func ForEachNCtx(ctx context.Context, n int, fn func(ctx context.Context, i int)
 	return nil
 }
 
-// ForEachN is ForEachNCtx without a caller context (no tracing parentage;
-// metrics still record).
-func ForEachN(n int, fn func(i int) error, opts ...Option) error {
-	return ForEachNCtx(context.Background(), n, func(_ context.Context, i int) error { return fn(i) }, opts...)
-}
-
 // MapCtx runs fn over items on a bounded worker pool, collecting results by
 // item index (never by completion order). It inherits ForEachNCtx's
 // cancel-on-first-error, lowest-index-error contract; on error the partial
@@ -240,22 +234,10 @@ func MapCtx[T, R any](ctx context.Context, items []T, fn func(ctx context.Contex
 	return out, nil
 }
 
-// Map is MapCtx without a caller context.
-func Map[T, R any](items []T, fn func(i int, item T) (R, error), opts ...Option) ([]R, error) {
-	return MapCtx(context.Background(), items, func(_ context.Context, i int, item T) (R, error) {
-		return fn(i, item)
-	}, opts...)
-}
-
 // DoCtx runs the given thunks concurrently (each thunk is one work item)
 // and waits for all of them, with the same error contract as ForEachNCtx.
 // It is the shape for heterogeneous independent steps, e.g. a conventional
 // build and a floorplanned build of the same design.
 func DoCtx(ctx context.Context, thunks []func(ctx context.Context) error, opts ...Option) error {
 	return ForEachNCtx(ctx, len(thunks), func(ctx context.Context, i int) error { return thunks[i](ctx) }, opts...)
-}
-
-// Do is DoCtx over context-free thunks.
-func Do(thunks []func() error, opts ...Option) error {
-	return ForEachN(len(thunks), func(i int) error { return thunks[i]() }, opts...)
 }

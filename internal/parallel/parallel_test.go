@@ -14,7 +14,7 @@ func TestForEachNRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 100
 		counts := make([]atomic.Int32, n)
-		err := ForEachN(n, func(i int) error {
+		err := ForEachNCtx(context.Background(), n, func(_ context.Context, i int) error {
 			counts[i].Add(1)
 			return nil
 		}, WithWorkers(workers))
@@ -31,10 +31,10 @@ func TestForEachNRunsEveryIndexOnce(t *testing.T) {
 
 func TestForEachNZeroAndNegative(t *testing.T) {
 	ran := false
-	if err := ForEachN(0, func(int) error { ran = true; return nil }); err != nil {
+	if err := ForEachNCtx(context.Background(), 0, func(context.Context, int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEachN(-3, func(int) error { ran = true; return nil }); err != nil {
+	if err := ForEachNCtx(context.Background(), -3, func(context.Context, int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran {
@@ -45,7 +45,7 @@ func TestForEachNZeroAndNegative(t *testing.T) {
 func TestForEachNLowestIndexError(t *testing.T) {
 	// Indices 30 and 60 fail; every worker count must report 30.
 	for _, workers := range []int{1, 3, 16} {
-		err := ForEachN(100, func(i int) error {
+		err := ForEachNCtx(context.Background(), 100, func(_ context.Context, i int) error {
 			if i == 30 || i == 60 {
 				return fmt.Errorf("boom at %d", i)
 			}
@@ -60,7 +60,7 @@ func TestForEachNLowestIndexError(t *testing.T) {
 func TestForEachNCancelsAfterError(t *testing.T) {
 	// With one worker, nothing past the failing index may run.
 	var ran atomic.Int32
-	err := ForEachN(1000, func(i int) error {
+	err := ForEachNCtx(context.Background(), 1000, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 5 {
 			return fmt.Errorf("stop")
@@ -81,7 +81,7 @@ func TestMapCollectsByIndex(t *testing.T) {
 		items[i] = i * 3
 	}
 	for _, workers := range []int{1, 8} {
-		out, err := Map(items, func(i, item int) (string, error) {
+		out, err := MapCtx(context.Background(), items, func(_ context.Context, i, item int) (string, error) {
 			return fmt.Sprintf("%d:%d", i, item), nil
 		}, WithWorkers(workers))
 		if err != nil {
@@ -96,7 +96,7 @@ func TestMapCollectsByIndex(t *testing.T) {
 }
 
 func TestMapErrorDiscardsResults(t *testing.T) {
-	out, err := Map([]int{1, 2, 3}, func(i, item int) (int, error) {
+	out, err := MapCtx(context.Background(), []int{1, 2, 3}, func(_ context.Context, i, item int) (int, error) {
 		if i == 1 {
 			return 0, fmt.Errorf("no")
 		}
@@ -109,14 +109,14 @@ func TestMapErrorDiscardsResults(t *testing.T) {
 
 func TestDo(t *testing.T) {
 	var a, b atomic.Bool
-	err := Do([]func() error{
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
+	err := DoCtx(context.Background(), []func(context.Context) error{
+		func(context.Context) error { a.Store(true); return nil },
+		func(context.Context) error { b.Store(true); return nil },
 	})
 	if err != nil || !a.Load() || !b.Load() {
 		t.Fatalf("Do: err=%v a=%v b=%v", err, a.Load(), b.Load())
 	}
-	if err := Do(nil); err != nil {
+	if err := DoCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 }
