@@ -25,9 +25,10 @@
 // generation, download) and prints a per-stage time summary plus the key
 // metrics after the run.
 //
-// The -download path is hardened: -retries and -download-timeout wrap the
-// board in a retrying, verifying reliability layer, and -faults (or
-// $JPG_FAULTS) injects deterministic link faults to exercise it — e.g.
+// The -download path is hardened: -faults (or $JPG_FAULTS), -retries or
+// -download-timeout puts the board behind a retrying reliability layer that
+// always verifies after write (see faults.Link); -faults injects
+// deterministic link faults to exercise it — e.g.
 // -faults "nth=2,mode=error,seed=7" fails every second download attempt.
 package main
 
@@ -75,8 +76,8 @@ func run() error {
 		useCache  = flag.Bool("cache", cache.EnvEnabled(), "memoize partial-bitstream generation (content-addressed; default $JPG_CACHE/$JPG_CACHE_DIR)")
 		cacheDir  = flag.String("cache-dir", os.Getenv(cache.EnvDir), "persist the cache on disk under this directory (implies -cache)")
 		faultSpec = flag.String("faults", os.Getenv(faults.Env), "inject deterministic download faults (e.g. \"nth=2,mode=error,seed=7\"; default $JPG_FAULTS)")
-		retries   = flag.Int("retries", 0, "max download attempts through the reliability layer (0 = xhwif default; implies the layer when > 0)")
-		dlTimeout = flag.Duration("download-timeout", 0, "deadline for one download including retries (implies the reliability layer when > 0)")
+		retries   = flag.Int("retries", 0, "max download attempts through the reliability layer (0 = xhwif default; > 0 turns the retrying, verify-after-write layer on)")
+		dlTimeout = flag.Duration("download-timeout", 0, "deadline for one download including retries (> 0 turns the retrying, verify-after-write layer on)")
 		serve     = flag.String("serve", "", "run as the jpgd HTTP service on this address (e.g. :8080) instead of a one-shot generation")
 		logLevel  = flag.String("log-level", "info", "service log level with -serve: debug, info, warn, error")
 	)
@@ -166,33 +167,22 @@ func run() error {
 	}
 
 	if *download {
-		spec, err := faults.Parse(*faultSpec)
+		board := xhwif.NewBoard(proj.Part)
+		hw, err := faults.Link{Faults: *faultSpec, Retries: *retries, Timeout: *dlTimeout}.Wrap(board)
 		if err != nil {
 			return err
 		}
-		var hw xhwif.HWIF = xhwif.NewBoard(proj.Part)
-		var injector *faults.Injector
-		if spec.Enabled() {
-			injector = faults.Wrap(hw, spec)
-			hw = injector
+		// Wrap has accepted the spec, so parsing it again cannot fail.
+		if spec, _ := faults.Parse(*faultSpec); spec.Enabled() {
 			fmt.Printf("fault injection: %s\n", spec)
 		}
-		var reliable *xhwif.ReliableHWIF
-		if spec.Enabled() || *retries > 0 || *dlTimeout > 0 {
-			reliable = xhwif.NewReliable(hw, xhwif.RetryPolicy{
-				MaxAttempts: *retries,
-				Timeout:     *dlTimeout,
-				Verify:      true,
-			})
-			hw = reliable
-		}
 		_, sp = obs.Start(ctx, "download")
-		dsFull, err := hw.Download(baseBS)
+		dsFull, err := hw.DownloadCtx(ctx, baseBS)
 		if err != nil {
 			sp.End()
 			return err
 		}
-		ds, err := hw.Download(res.Bitstream)
+		ds, err := hw.DownloadCtx(ctx, res.Bitstream)
 		sp.End()
 		if err != nil {
 			return err
@@ -200,13 +190,15 @@ func run() error {
 		fmt.Printf("download (SelectMAP @ %.0f MHz): full %v, partial %v (%.1fx faster)\n",
 			xhwif.DefaultClockHz/1e6, dsFull.ModelTime, ds.ModelTime,
 			float64(dsFull.ModelTime)/float64(ds.ModelTime))
-		if reliable != nil {
-			r, a, v := reliable.Counts()
+		// These two are the process's only downloads, so the global
+		// counters are this run's.
+		if hw != xhwif.HWIF(board) {
+			r := obs.GetCounter("xhwif.retries").Value()
 			line := fmt.Sprintf("reliability: %d attempt(s) full, %d attempt(s) partial; %d retr%s, %d abort(s), %d verify failure(s)",
-				dsFull.Attempts, ds.Attempts, r, plural(r, "y", "ies"), a, v)
-			if injector != nil {
-				attempts, injected := injector.Counts()
-				line += fmt.Sprintf("; faults injected %d/%d", injected, attempts)
+				dsFull.Attempts, ds.Attempts, r, plural(r, "y", "ies"),
+				obs.GetCounter("xhwif.download_aborts").Value(), obs.GetCounter("xhwif.verify_failures").Value())
+			if attempts := obs.GetCounter("faults.download_attempts").Value(); attempts > 0 {
+				line += fmt.Sprintf("; faults injected %d/%d", obs.GetCounter("faults.injected").Value(), attempts)
 			}
 			fmt.Println(line)
 		}

@@ -24,7 +24,9 @@
 //	                         # $JPG_FAULTS); boards gain a retrying,
 //	                         # verifying reliability layer, results identical
 //	jpgbench -retries n      # bound download attempts per board download
+//	                         # (n > 0 also turns the reliability layer on)
 //	jpgbench -download-timeout d  # deadline per download incl. retries
+//	                         # (d > 0 also turns the reliability layer on)
 //	jpgbench -verify         # re-decode every emitted bitstream with the
 //	                         # independent verifier (internal/bitlint) and fail
 //	                         # on any error finding (results identical)
@@ -217,8 +219,8 @@ func run() int {
 		useCache = flag.Bool("cache", cache.EnvEnabled(), "memoize CAD stage results (content-addressed; default $JPG_CACHE/$JPG_CACHE_DIR)")
 		cacheDir = flag.String("cache-dir", os.Getenv(cache.EnvDir), "persist the cache on disk under this directory (implies -cache)")
 		faultStr = flag.String("faults", os.Getenv(faults.Env), "inject deterministic download faults into every experiment board (e.g. \"nth=2,mode=error,seed=7\"; default $JPG_FAULTS)")
-		retries  = flag.Int("retries", 0, "max download attempts per board download (0 = xhwif default; the reliability layer is on whenever -faults/-retries/-download-timeout is set)")
-		dlTmout  = flag.Duration("download-timeout", 0, "deadline for one board download including retries")
+		retries  = flag.Int("retries", 0, "max download attempts per board download (0 = xhwif default; > 0 turns on the retrying reliability layer, which always verifies after write)")
+		dlTmout  = flag.Duration("download-timeout", 0, "deadline for one board download including retries (> 0 turns on the retrying reliability layer, which always verifies after write)")
 		incr     = flag.Bool("incremental", false, "also run the E10 edit storm (delta-driven incremental flow)")
 		verify   = flag.Bool("verify", false, "independently verify every emitted bitstream (internal/bitlint); results identical, runs fail on any error finding")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -262,8 +264,8 @@ func run() int {
 	}
 	cfg := experiments.Config{
 		Part: *part, Seed: *seed, Quick: *quick, Workers: *workers, Starts: *starts,
-		Verify: *verify,
-		Faults: *faultStr, Retries: *retries, DownloadTimeout: *dlTmout,
+		Verify:   *verify,
+		Download: faults.Link{Faults: *faultStr, Retries: *retries, Timeout: *dlTmout},
 	}
 	bcache := cache.Open(*useCache, *cacheDir)
 	cfg.Cache = bcache

@@ -512,14 +512,8 @@ func TestGeneratePartialAll(t *testing.T) {
 // the device keeps its state.
 type alwaysFail struct{ *xhwif.Board }
 
-func (alwaysFail) Download([]byte) (xhwif.DownloadStats, error) {
+func (alwaysFail) DownloadCtx(context.Context, []byte) (xhwif.DownloadStats, error) {
 	return xhwif.DownloadStats{}, context.DeadlineExceeded
-}
-
-// DownloadCtx overrides the method promoted from the embedded Board so the
-// link stays dead on the context-aware path too.
-func (a alwaysFail) DownloadCtx(context.Context, []byte) (xhwif.DownloadStats, error) {
-	return a.Download(nil)
 }
 
 // TestGenerateAndDownloadCtxCancellation checks the context plumbing and the

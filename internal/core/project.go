@@ -399,13 +399,6 @@ func (p *Project) GeneratePartialAllCtx(ctx context.Context, ms []*Module, opts 
 	}, popts...)
 }
 
-// ContextDownloader is the context-aware download side of a board;
-// *xhwif.ReliableHWIF implements it (per-download deadlines, cancellable
-// backoff).
-type ContextDownloader interface {
-	DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadStats, error)
-}
-
 // GenerateAndDownload generates the partial bitstream and downloads it to a
 // board over the XHWIF interface, writing back on success so the project's
 // view of the base configuration tracks the device state. The write-back is
@@ -417,9 +410,9 @@ func (p *Project) GenerateAndDownload(m *Module, board xhwif.HWIF, opts Generate
 	return p.GenerateAndDownloadCtx(context.Background(), m, board, opts)
 }
 
-// GenerateAndDownloadCtx is GenerateAndDownload under a context. When the
-// board implements ContextDownloader the context governs the download
-// (deadline, cancellation mid-backoff); otherwise it only gates the start.
+// GenerateAndDownloadCtx is GenerateAndDownload under a context. The
+// context governs generation and the download through every layer of the
+// board's stack (deadline, cancellation mid-backoff, request-scoped logs).
 func (p *Project) GenerateAndDownloadCtx(ctx context.Context, m *Module, board xhwif.HWIF, opts GenerateOptions) (*Result, xhwif.DownloadStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, xhwif.DownloadStats{}, err
@@ -431,14 +424,9 @@ func (p *Project) GenerateAndDownloadCtx(ctx context.Context, m *Module, board x
 	if err != nil {
 		return nil, xhwif.DownloadStats{}, err
 	}
-	var ds xhwif.DownloadStats
 	_, sp := obs.Start(ctx, "core.download")
 	sp.SetStr("module", m.Name)
-	if cd, ok := board.(ContextDownloader); ok {
-		ds, err = cd.DownloadCtx(ctx, res.Bitstream)
-	} else {
-		ds, err = board.Download(res.Bitstream)
-	}
+	ds, err := board.DownloadCtx(ctx, res.Bitstream)
 	sp.EndErr(err)
 	if err != nil {
 		obs.CountError("download")

@@ -29,6 +29,7 @@ func E3(cfg Config) (*Table, error) {
 			"run-time module swaps far cheaper than full reconfiguration",
 		Columns: []string{"part", "download", "bytes", "frames", "model time", "speedup"},
 	}
+	ctx := cfg.ctx()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, name := range parts {
 		p, err := device.ByName(name)
@@ -44,7 +45,7 @@ func E3(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		full := bitstream.WriteFull(mem)
-		dsFull, err := board.Download(full)
+		dsFull, err := board.DownloadCtx(ctx, full)
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +58,7 @@ func E3(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ds, err := board.Download(partial)
+			ds, err := board.DownloadCtx(ctx, partial)
 			if err != nil {
 				return nil, err
 			}

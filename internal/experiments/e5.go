@@ -65,7 +65,7 @@ func E5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := board.Download(base.Bitstream); err != nil {
+		if _, err := board.DownloadCtx(ctx, base.Bitstream); err != nil {
 			return nil, err
 		}
 		before := board.Readback()

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -132,45 +131,18 @@ type Config struct {
 	// only wall-clock, so experiments whose verdicts compare *measured
 	// times* (E4/E8/E9) should be given a cold cache or none at all.
 	Cache *cache.Cache
-	// Faults is a fault-injection spec (see internal/faults.Parse) applied
-	// to every board the experiments download to; empty disables injection.
-	// With a spec set, boards are wrapped in a ReliableHWIF so the injected
-	// faults are retried — experiment *results* stay identical, which is
-	// exactly the property CI's faulted run asserts.
-	Faults string
-	// Retries bounds download attempts per board download (0 selects the
-	// xhwif default). Only consulted when the reliability layer is on
-	// (Faults set, Retries > 0, or DownloadTimeout > 0).
-	Retries int
-	// DownloadTimeout bounds one board download end to end, retries
-	// included (0 = none).
-	DownloadTimeout time.Duration
+	// Download is the download stack every experiment board sits behind
+	// (see faults.Link): injected faults, retries and a deadline put the
+	// board behind the retrying, verifying reliability layer, so experiment
+	// *results* stay identical — exactly the property CI's faulted run
+	// asserts. The zero Link downloads straight to the board.
+	Download faults.Link
 }
 
-// board builds the HWIF an experiment downloads to: a simulated Board,
-// wrapped in a fault injector and a retrying, verifying ReliableHWIF when
-// the config asks for them. With no faults and no retry knobs the bare
-// board is returned, so the default path is unchanged.
+// board builds the HWIF an experiment downloads to: a simulated Board
+// behind the config's download stack.
 func (c Config) board(p *device.Part) (xhwif.HWIF, error) {
-	var hw xhwif.HWIF = xhwif.NewBoard(p)
-	if c.Faults != "" {
-		spec, err := faults.Parse(c.Faults)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Enabled() {
-			hw = faults.Wrap(hw, spec)
-		}
-	}
-	if c.Faults != "" || c.Retries > 0 || c.DownloadTimeout > 0 {
-		hw = xhwif.NewReliable(hw, xhwif.RetryPolicy{
-			MaxAttempts: c.Retries,
-			Timeout:     c.DownloadTimeout,
-			JitterSeed:  c.Seed,
-			Verify:      true,
-		})
-	}
-	return hw, nil
+	return c.Download.Wrap(xhwif.NewBoard(p))
 }
 
 // ctx resolves the run context, attaching the config's cache so the flow

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,9 +149,6 @@ func Parse(s string) (Spec, error) {
 	return spec, nil
 }
 
-// FromEnv parses $JPG_FAULTS (disabled spec when unset).
-func FromEnv() (Spec, error) { return Parse(os.Getenv(Env)) }
-
 // Injection metrics (always on; see internal/obs).
 var (
 	mAttempts  = obs.GetCounter("faults.download_attempts")
@@ -173,7 +169,6 @@ type Injector struct {
 }
 
 var _ xhwif.HWIF = (*Injector)(nil)
-var _ xhwif.ContextDownloader = (*Injector)(nil)
 
 // Wrap returns an injector over inner.
 func Wrap(inner xhwif.HWIF, spec Spec) *Injector {
@@ -220,19 +215,12 @@ func (in *Injector) ExecuteReadback(request []byte) ([]uint32, error) {
 	return nil, fmt.Errorf("faults: inner %T has no raw readback", in.inner)
 }
 
-// Download implements HWIF: count the attempt, decide deterministically
+// DownloadCtx implements HWIF: count the attempt, decide deterministically
 // whether to fault it, and either fail, perturb the bytes on their way to
 // the device, or pass the stream through. The inner download's
 // transactional behaviour decides what a perturbed stream does to the
-// device (Board rolls back).
-func (in *Injector) Download(bs []byte) (xhwif.DownloadStats, error) {
-	return in.DownloadCtx(context.Background(), bs)
-}
-
-// DownloadCtx implements xhwif.ContextDownloader: Download with the context
-// forwarded to the inner HWIF (when it supports contexts) and one structured
-// log event per injected fault, so a request's logs show exactly which
-// attempt was perturbed and how.
+// device (Board rolls back). Each injected fault logs one structured event,
+// so a request's logs show exactly which attempt was perturbed and how.
 func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadStats, error) {
 	in.mu.Lock()
 	in.attempts++
@@ -249,20 +237,13 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 	}
 	in.mu.Unlock()
 
-	download := func(b []byte) (xhwif.DownloadStats, error) {
-		if cd, ok := in.inner.(xhwif.ContextDownloader); ok {
-			return cd.DownloadCtx(ctx, b)
-		}
-		return in.inner.Download(b)
-	}
-
 	mAttempts.Inc()
 	if in.spec.Latency > 0 {
 		mLatencyNs.Observe(in.spec.Latency.Nanoseconds())
 		time.Sleep(in.spec.Latency)
 	}
 	if !inject {
-		return download(bs)
+		return in.inner.DownloadCtx(ctx, bs)
 	}
 	mInjected.Inc()
 	jpglog.Warn(ctx, "fault.injected", "mode", in.spec.Mode, "attempt", n, "bytes", len(bs))
@@ -271,7 +252,7 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 		// Word-aligned cut around the midpoint lands inside the FDRI frame
 		// run of any realistic stream, which the port rejects.
 		cut := (len(bs) / 2) &^ 3
-		ds, err := download(bs[:cut])
+		ds, err := in.inner.DownloadCtx(ctx, bs[:cut])
 		if err == nil {
 			err = fmt.Errorf("faults: truncated stream unexpectedly accepted")
 		}
@@ -282,7 +263,7 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 		if len(dirty) > 0 {
 			dirty[corruptAt] ^= 0x40
 		}
-		ds, err := download(dirty)
+		ds, err := in.inner.DownloadCtx(ctx, dirty)
 		if err == nil {
 			// The flip slipped past the port's checks (e.g. it landed in a
 			// pad word); surface the injection so a reliability layer
@@ -293,4 +274,38 @@ func (in *Injector) DownloadCtx(ctx context.Context, bs []byte) (xhwif.DownloadS
 	default: // ModeError
 		return xhwif.DownloadStats{Bytes: len(bs)}, fmt.Errorf("%w (attempt %d)", ErrInjected, n)
 	}
+}
+
+// Link describes the download stack between a caller and a board: optional
+// fault injection under an optional reliability layer. It is the one place
+// the CLIs, jpgd and the experiments turn their download knobs into a HWIF.
+type Link struct {
+	// Faults is a fault spec (Parse syntax); "" and "off" inject nothing.
+	Faults string
+	// Retries bounds download attempts per call (0 selects the xhwif
+	// default).
+	Retries int
+	// Timeout bounds one download end to end, retries included (0 = none).
+	Timeout time.Duration
+	// Verify asks for verify-after-write readback on its own.
+	Verify bool
+}
+
+// Wrap builds the stack over hw. The injector is added iff the spec is
+// enabled. The reliability layer is added iff the spec is enabled, Retries
+// or Timeout is positive, or Verify is set; once on, it always verifies
+// after write. With none of these hw is returned unchanged. The jitter
+// seed is fixed: jitter changes only sleep lengths, never results.
+func (l Link) Wrap(hw xhwif.HWIF) (xhwif.HWIF, error) {
+	spec, err := Parse(l.Faults)
+	if err != nil {
+		return nil, err
+	}
+	if !spec.Enabled() && l.Retries <= 0 && l.Timeout <= 0 && !l.Verify {
+		return hw, nil
+	}
+	if spec.Enabled() {
+		hw = Wrap(hw, spec)
+	}
+	return xhwif.NewReliable(hw, xhwif.RetryPolicy{MaxAttempts: l.Retries, Timeout: l.Timeout, Verify: true}), nil
 }

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func TestErrorModeIsDeterministic(t *testing.T) {
 	for _, got := range []*[]bool{&gotA, &gotB} {
 		in := Wrap(xhwif.NewBoard(p), Spec{Nth: 2, Seed: 5})
 		for i := 0; i < 6; i++ {
-			_, err := in.Download(bs)
+			_, err := in.DownloadCtx(context.Background(), bs)
 			*got = append(*got, err != nil)
 			if err != nil && !errors.Is(err, ErrInjected) {
 				t.Fatalf("download %d: %v is not ErrInjected", i, err)
@@ -64,7 +66,7 @@ func TestErrorModeIsDeterministic(t *testing.T) {
 	}
 	in := Wrap(xhwif.NewBoard(p), Spec{Nth: 2, Seed: 5})
 	for i := 0; i < 6; i++ {
-		in.Download(bs)
+		in.DownloadCtx(context.Background(), bs)
 	}
 	if attempts, injected := in.Counts(); attempts != 6 || injected != 3 {
 		t.Fatalf("counts %d/%d, want 3/6", injected, attempts)
@@ -81,7 +83,7 @@ func TestTruncateModeRollsBack(t *testing.T) {
 	mem2 := mem.Clone()
 	mem2.SetBit(p.CLBBit(0, 0, 0), true)
 	in := Wrap(board, Spec{First: 1, Mode: ModeTruncate, Seed: 3})
-	if _, err := in.Download(bitstream.WriteFull(mem2)); !errors.Is(err, ErrInjected) {
+	if _, err := in.DownloadCtx(context.Background(), bitstream.WriteFull(mem2)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if !board.Readback().Equal(mem) {
@@ -97,7 +99,7 @@ func TestCorruptModeRejectedByCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := Wrap(board, Spec{First: 1, Mode: ModeCorrupt, Seed: 11})
-	if _, err := in.Download(bs); !errors.Is(err, ErrInjected) {
+	if _, err := in.DownloadCtx(context.Background(), bs); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if !board.Readback().Equal(mem) {
@@ -128,7 +130,7 @@ func TestRetryConvergesUnderFaults(t *testing.T) {
 			MaxBackoff:  time.Nanosecond,
 			Verify:      true,
 		})
-		ds, err := r.Download(bs)
+		ds, err := r.DownloadCtx(context.Background(), bs)
 		if err != nil {
 			t.Fatalf("mode=%s: %v", mode, err)
 		}
@@ -157,7 +159,7 @@ func TestRetryConvergesUnderFaults(t *testing.T) {
 		MaxBackoff:  time.Nanosecond,
 		Verify:      true,
 	})
-	if _, err := r.Download(bitstream.WriteFull(mem2)); err == nil {
+	if _, err := r.DownloadCtx(context.Background(), bitstream.WriteFull(mem2)); err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
 	if !board.Readback().Equal(pre) {
@@ -180,5 +182,85 @@ func TestInjectorForwardsReadback(t *testing.T) {
 	got, err := in.ReadbackFrames(fars)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("ReadbackFrames not forwarded: %v", err)
+	}
+}
+
+// liar reports every download as applied without writing anything: the
+// failure mode only verify-after-write can catch.
+type liar struct{ *xhwif.Board }
+
+func (l liar) DownloadCtx(_ context.Context, bs []byte) (xhwif.DownloadStats, error) {
+	return xhwif.DownloadStats{Bytes: len(bs), Attempts: 1}, nil
+}
+
+// TestLinkWrap pins the download-stack constructor's decision: the injector
+// is added iff the spec is enabled, the reliability layer iff any knob is
+// set, and that layer always verifies after write — so over a lying board
+// every layered link fails the download while a bare one cannot tell.
+func TestLinkWrap(t *testing.T) {
+	_, bs := testConfig(t, 6)
+	p := device.MustByName("XCV50")
+	for _, tc := range []struct {
+		name     string
+		link     Link
+		reliable bool // a ReliableHWIF on top
+		injector bool // an Injector directly under it
+	}{
+		{"zero", Link{}, false, false},
+		{"off", Link{Faults: "off"}, false, false},
+		{"faults", Link{Faults: "nth=2,mode=error,seed=7"}, true, true},
+		{"latency", Link{Faults: "latency=1ns"}, true, true},
+		{"retries", Link{Retries: 2}, true, false},
+		{"timeout", Link{Timeout: time.Minute}, true, false},
+		{"verify", Link{Verify: true}, true, false},
+		{"off with retries", Link{Faults: "off", Retries: 3}, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			board := xhwif.NewBoard(p)
+			hw, err := tc.link.Wrap(board)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.reliable {
+				if hw != xhwif.HWIF(board) {
+					t.Fatalf("got %T, want the same *Board", hw)
+				}
+			} else {
+				r, ok := hw.(*xhwif.ReliableHWIF)
+				if !ok {
+					t.Fatalf("got %T, want *xhwif.ReliableHWIF", hw)
+				}
+				if !r.Policy.Verify {
+					t.Fatal("reliability layer does not verify after write")
+				}
+				if tc.link.Retries > 0 && r.Policy.MaxAttempts != tc.link.Retries || r.Policy.Timeout != tc.link.Timeout {
+					t.Fatalf("policy %+v does not carry %+v", r.Policy, tc.link)
+				}
+				under := r.Inner
+				if in, ok := under.(*Injector); ok != tc.injector {
+					t.Fatalf("inner %T, injector wanted: %v", under, tc.injector)
+				} else if ok {
+					under = in.inner
+				}
+				if under != xhwif.HWIF(board) {
+					t.Fatalf("stack bottoms out at %T, want the board", under)
+				}
+			}
+
+			lying, err := tc.link.Wrap(liar{xhwif.NewBoard(p)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = lying.DownloadCtx(context.Background(), bs)
+			if tc.reliable && (err == nil || !strings.Contains(err.Error(), "verify failed")) {
+				t.Fatalf("lying board: err = %v, want a verify failure", err)
+			}
+			if !tc.reliable && err != nil {
+				t.Fatalf("bare lying board: %v", err)
+			}
+		})
+	}
+	if _, err := (Link{Faults: "mode=explode"}).Wrap(xhwif.NewBoard(p)); err == nil {
+		t.Fatal("bad fault spec accepted")
 	}
 }

@@ -372,15 +372,19 @@ type GenerateRequest struct {
 	// error finding. Results are byte-identical with it on or off.
 	Verify bool `json:"verify,omitempty"`
 	// Download, when present, also downloads the partial to a simulated
-	// board configured with the base design, through the reliability layer.
+	// board configured with the base design (see DownloadRequest).
 	Download *DownloadRequest `json:"download,omitempty"`
 }
 
-// DownloadRequest tunes the simulated download of a generate request.
+// DownloadRequest tunes the simulated download of a generate request. An
+// empty one downloads straight to the board; any set field puts the board
+// behind the retrying reliability layer, which then always verifies after
+// write (faults.Link).
 type DownloadRequest struct {
-	// Retries caps download attempts (0 = xhwif default).
+	// Retries caps download attempts (0 = xhwif default; negative is a 400).
 	Retries int `json:"retries,omitempty"`
-	// TimeoutMS bounds the download end to end (0 = none).
+	// TimeoutMS bounds the download end to end (0 = none; negative is a
+	// 400).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Verify reads touched frames back after the download.
 	Verify bool `json:"verify,omitempty"`
@@ -424,6 +428,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.fail(ctx, w, "generate", http.StatusBadRequest, fmt.Errorf("base, xdl and ucf are required"))
 		return
 	}
+	if d := req.Download; d != nil && (d.Retries < 0 || d.TimeoutMS < 0) {
+		s.fail(ctx, w, "generate", http.StatusBadRequest, fmt.Errorf("download.retries and download.timeout_ms must not be negative"))
+		return
+	}
 	baseFile, err := base64.StdEncoding.DecodeString(req.Base)
 	if err != nil {
 		s.fail(ctx, w, "generate", http.StatusBadRequest, fmt.Errorf("base is not base64: %w", err))
@@ -459,7 +467,13 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			s.fail(ctx, w, "generate", http.StatusInternalServerError, err)
 			return
 		}
-		hwif, err := wrapBoard(board, req.Download)
+		d := req.Download
+		hwif, err := faults.Link{
+			Faults:  d.Faults,
+			Retries: d.Retries,
+			Timeout: time.Duration(d.TimeoutMS) * time.Millisecond,
+			Verify:  d.Verify,
+		}.Wrap(board)
 		if err != nil {
 			s.fail(ctx, w, "generate", http.StatusBadRequest, err)
 			return
@@ -602,24 +616,6 @@ func (s *Server) boardWithBase(ctx context.Context, part *device.Part, baseBS []
 		return nil, fmt.Errorf("configuring board with base: %w", err)
 	}
 	return board, nil
-}
-
-// wrapBoard layers fault injection and the reliability wrapper per the
-// request's download options.
-func wrapBoard(board *xhwif.Board, d *DownloadRequest) (xhwif.HWIF, error) {
-	var hwif xhwif.HWIF = board
-	if d.Faults != "" {
-		spec, err := faults.Parse(d.Faults)
-		if err != nil {
-			return nil, err
-		}
-		hwif = faults.Wrap(hwif, spec)
-	}
-	return xhwif.NewReliable(hwif, xhwif.RetryPolicy{
-		MaxAttempts: d.Retries,
-		Timeout:     time.Duration(d.TimeoutMS) * time.Millisecond,
-		Verify:      d.Verify,
-	}), nil
 }
 
 // BuildRequest is the /v1/build body: run the CAD flow server-side. The

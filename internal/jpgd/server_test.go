@@ -256,6 +256,61 @@ func TestGenerateWithDownloadAndFaults(t *testing.T) {
 	}
 }
 
+// TestGenerateDownloadLayers pins when a generate request's download runs
+// behind the reliability layer: an empty download object goes straight to
+// the board (one attempt, no readback), while a faulted one retries and
+// always verifies after write.
+func TestGenerateDownloadLayers(t *testing.T) {
+	f := buildFixture(t)
+	_, ts := newTestServer(t, jpgd.Config{})
+	verifyOK := obs.GetCounter("xhwif.verify_ok")
+	for _, tc := range []struct {
+		name     string
+		dl       *jpgd.DownloadRequest
+		attempts int
+		verified int64
+	}{
+		{"bare", &jpgd.DownloadRequest{}, 1, 0},
+		{"faulted", &jpgd.DownloadRequest{Faults: "first=1,mode=corrupt,seed=3"}, 2, 1},
+	} {
+		before := verifyOK.Value()
+		resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(generateBody(t, f, tc.dl)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out jpgd.GenerateResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d, %v", tc.name, resp.StatusCode, err)
+		}
+		if out.Download == nil || out.Download.Attempts != tc.attempts {
+			t.Fatalf("%s: download %+v, want %d attempt(s)", tc.name, out.Download, tc.attempts)
+		}
+		if got := verifyOK.Value() - before; got != tc.verified {
+			t.Fatalf("%s: xhwif.verify_ok rose by %d, want %d", tc.name, got, tc.verified)
+		}
+	}
+}
+
+// TestGenerateRejectsNegativeDownloadKnobs checks the input contract: a
+// negative retry count or timeout is a client error, not a silent default.
+func TestGenerateRejectsNegativeDownloadKnobs(t *testing.T) {
+	f := buildFixture(t)
+	_, ts := newTestServer(t, jpgd.Config{})
+	for _, dl := range []*jpgd.DownloadRequest{{Retries: -1}, {TimeoutMS: -1}} {
+		resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(generateBody(t, f, dl)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("download %+v: status %d, want 400", *dl, resp.StatusCode)
+		}
+	}
+}
+
 func TestConcurrentGenerates(t *testing.T) {
 	f := buildFixture(t)
 	_, ts := newTestServer(t, jpgd.Config{})

@@ -54,14 +54,10 @@ var (
 	mHeapPushes = obs.GetCounter("route.heap_pushes")
 )
 
-// Route routes every net of the placed design, filling d.Routes. On success
-// the routes pass phys.(*Design).CheckRoutes.
-func Route(d *phys.Design, opts Options) error {
-	return RouteCtx(context.Background(), d, opts)
-}
-
-// RouteCtx is Route with a context for observability: each PathFinder
-// iteration is a "route.iter" span carrying its overuse count.
+// RouteCtx routes every net of the placed design, filling d.Routes. On
+// success the routes pass phys.(*Design).CheckRoutes. The context carries
+// observability: each PathFinder iteration is a "route.iter" span carrying
+// its overuse count.
 func RouteCtx(ctx context.Context, d *phys.Design, opts Options) error {
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 48

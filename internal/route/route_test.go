@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 
 func placeDesign(t *testing.T, partName string, nl *netlist.Design, cons *ucf.Constraints, seed int64) *phys.Design {
 	t.Helper()
-	d, err := place.Place(device.MustByName(partName), nl, place.Options{Seed: seed, Constraints: cons})
+	d, err := place.PlaceCtx(context.Background(), device.MustByName(partName), nl, place.Options{Seed: seed, Constraints: cons})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestRouteCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 1)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CheckRoutes(); err != nil {
@@ -58,7 +59,7 @@ func TestRouteConstrainedModule(t *testing.T) {
 	cons := ucf.New()
 	cons.AddGroup("u1/*", "AG", frames.Region{R1: 2, C1: 2, R2: 9, C2: 9})
 	d := placeDesign(t, "XCV50", nl, cons, 3)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +71,7 @@ func TestRouteDenseSBoxBank(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 5)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -95,7 +96,7 @@ func TestRouteTooManyClocks(t *testing.T) {
 		}
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 1)
-	if err := Route(d, Options{}); err == nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err == nil {
 		t.Fatal("5 clock nets routed onto 4 globals")
 	}
 }
@@ -121,7 +122,7 @@ func TestRouteSharedSliceClock(t *testing.T) {
 	cons.InstLocs["ff0"] = ucf.SliceLoc{Row: 4, Col: 4, Slice: 0}
 	cons.InstLocs["ff1"] = ucf.SliceLoc{Row: 4, Col: 4, Slice: 0}
 	d := placeDesign(t, "XCV50", nl, cons, 1)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Exactly one CLK tap for the shared slice.
@@ -142,7 +143,7 @@ func TestRoutesDisjointAcrossNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := placeDesign(t, "XCV50", nl, nil, 11)
-	if err := Route(d, Options{}); err != nil {
+	if err := RouteCtx(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	owner := map[device.NodeID]string{}
@@ -185,7 +186,7 @@ func TestRegionConstrainedRouting(t *testing.T) {
 	}
 	d := placeDesign(t, "XCV50", nl, cons, 2)
 	opts := Options{RegionForNet: func(n *netlist.Net) *frames.Region { return &rg }}
-	if err := Route(d, opts); err != nil {
+	if err := RouteCtx(context.Background(), d, opts); err != nil {
 		t.Fatal(err)
 	}
 	for n, r := range d.Routes {
@@ -222,7 +223,7 @@ func TestRegionConstrainedRoutingFailsWhenPadsFar(t *testing.T) {
 	cons.NetLocs["clk"] = "P_T3"
 	d := placeDesign(t, "XCV50", nl, cons, 2)
 	opts := Options{MaxIters: 6, RegionForNet: func(n *netlist.Net) *frames.Region { return &rg }}
-	if err := Route(d, opts); err == nil {
+	if err := RouteCtx(context.Background(), d, opts); err == nil {
 		t.Fatal("routing escaped its region to reach a far pad")
 	}
 }

@@ -90,7 +90,6 @@ type ReliableHWIF struct {
 }
 
 var _ HWIF = (*ReliableHWIF)(nil)
-var _ ContextDownloader = (*ReliableHWIF)(nil)
 
 // NewReliable wraps inner with the given retry policy.
 func NewReliable(inner HWIF, p RetryPolicy) *ReliableHWIF {
@@ -150,13 +149,7 @@ func (r *ReliableHWIF) ExecuteReadback(request []byte) ([]uint32, error) {
 	return nil, fmt.Errorf("xhwif: inner %T has no raw readback", r.Inner)
 }
 
-// Download implements HWIF via DownloadCtx with no caller deadline beyond
-// the policy's.
-func (r *ReliableHWIF) Download(bs []byte) (DownloadStats, error) {
-	return r.DownloadCtx(context.Background(), bs)
-}
-
-// DownloadCtx downloads with retries under the policy. The returned stats
+// DownloadCtx implements HWIF: it downloads with retries under the policy. The returned stats
 // are those of the successful attempt (Attempts counts all attempts made);
 // on failure they are the last attempt's. The inner download is assumed
 // transactional (as Board's is), so a retry always starts from the device's
@@ -193,11 +186,7 @@ func (r *ReliableHWIF) DownloadCtx(ctx context.Context, bs []byte) (DownloadStat
 			jpglog.Warn(ctx, "download.abort", "attempts", attempt-1, "error", cerr.Error())
 			return ds, fmt.Errorf("xhwif: download aborted after %d attempt(s): %w", attempt-1, cerr)
 		}
-		if cd, ok := r.Inner.(ContextDownloader); ok {
-			ds, err = cd.DownloadCtx(ctx, bs)
-		} else {
-			ds, err = r.Inner.Download(bs)
-		}
+		ds, err = r.Inner.DownloadCtx(ctx, bs)
 		ds.Attempts = attempt
 		if err == nil && expected != nil {
 			if verr := r.verify(pre, expected); verr != nil {

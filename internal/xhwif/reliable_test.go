@@ -19,33 +19,20 @@ type flaky struct {
 	seen int
 }
 
-func (f *flaky) Download(bs []byte) (DownloadStats, error) {
+func (f *flaky) DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error) {
 	f.seen++
 	if f.seen <= f.fail {
 		return DownloadStats{Bytes: len(bs)}, errors.New("flaky: injected link failure")
 	}
-	return f.Board.Download(bs)
-}
-
-// DownloadCtx overrides the method promoted from the embedded Board so the
-// injected failures also hit callers on the context-aware path.
-func (f *flaky) DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error) {
-	if err := ctx.Err(); err != nil {
-		return DownloadStats{}, err
-	}
-	return f.Download(bs)
+	return f.Board.DownloadCtx(ctx, bs)
 }
 
 // liar reports success without writing anything: the failure mode only
 // verify-after-write can catch.
 type liar struct{ *Board }
 
-func (l *liar) Download(bs []byte) (DownloadStats, error) {
+func (l *liar) DownloadCtx(_ context.Context, bs []byte) (DownloadStats, error) {
 	return DownloadStats{Bytes: len(bs), Attempts: 1}, nil
-}
-
-func (l *liar) DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error) {
-	return l.Download(bs)
 }
 
 // fastPolicy keeps test retries effectively instant.
@@ -58,7 +45,7 @@ func TestReliableRetriesUntilSuccess(t *testing.T) {
 	p := device.MustByName("XCV50")
 
 	r := NewReliable(&flaky{Board: NewBoard(p), fail: 2}, fastPolicy(4))
-	ds, err := r.Download(bs)
+	ds, err := r.DownloadCtx(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +72,7 @@ func TestReliableExhaustedKeepsPreState(t *testing.T) {
 	mem2 := mem.Clone()
 	mem2.SetBit(p.CLBBit(2, 2, 2), true)
 	r := NewReliable(&flaky{Board: board, fail: 100}, fastPolicy(3))
-	if _, err := r.Download(bitstream.WriteFull(mem2)); err == nil {
+	if _, err := r.DownloadCtx(context.Background(), bitstream.WriteFull(mem2)); err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
 	if _, aborts, _ := r.Counts(); aborts != 1 {
@@ -103,7 +90,7 @@ func TestReliableVerifyCatchesSilentlyDroppedWrite(t *testing.T) {
 	pol := fastPolicy(2)
 	pol.Verify = true
 	r := NewReliable(&liar{Board: NewBoard(p)}, pol)
-	_, err := r.Download(bs)
+	_, err := r.DownloadCtx(context.Background(), bs)
 	if err == nil {
 		t.Fatal("verification accepted a download the device never applied")
 	}
@@ -118,7 +105,7 @@ func TestReliableVerifyPassesOnHonestBoard(t *testing.T) {
 	pol := fastPolicy(3)
 	pol.Verify = true
 	r := NewReliable(&flaky{Board: NewBoard(p), fail: 1}, pol)
-	if _, err := r.Download(bs); err != nil {
+	if _, err := r.DownloadCtx(context.Background(), bs); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, vfails := r.Counts(); vfails != 0 {
@@ -136,7 +123,7 @@ func TestReliableDeadline(t *testing.T) {
 	pol.Timeout = time.Nanosecond
 	r := NewReliable(&flaky{Board: NewBoard(p), fail: 100}, pol)
 	time.Sleep(time.Microsecond) // let the 1ns deadline expire
-	_, err := r.Download(bs)
+	_, err := r.DownloadCtx(context.Background(), bs)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}

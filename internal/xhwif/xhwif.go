@@ -34,9 +34,10 @@ const DefaultClockHz = 50e6
 type HWIF interface {
 	// PartName identifies the device on the board.
 	PartName() string
-	// Download feeds a (full or partial) bitstream to the configuration
-	// port.
-	Download(bs []byte) (DownloadStats, error)
+	// DownloadCtx feeds a (full or partial) bitstream to the configuration
+	// port. The context carries the deadline, cancellation and the
+	// request-scoped logger to every layer of the download stack.
+	DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error)
 	// Readback returns a copy of the device's configuration memory.
 	Readback() *frames.Memory
 }
@@ -46,15 +47,6 @@ type HWIF interface {
 // it so verify-after-write can read back only the frames a download touched.
 type FrameReader interface {
 	ReadbackFrames(fars []device.FAR) ([][]uint32, error)
-}
-
-// ContextDownloader is the optional context-aware download side of a HWIF.
-// *Board, *ReliableHWIF and the faults injector implement it; callers that
-// hold a context (jpgd request handlers, the reliability layer) prefer it so
-// deadlines, cancellation and the request-scoped logger reach every layer of
-// the download stack.
-type ContextDownloader interface {
-	DownloadCtx(ctx context.Context, bs []byte) (DownloadStats, error)
 }
 
 // DownloadStats reports one download.
@@ -110,7 +102,6 @@ type Board struct {
 
 var _ HWIF = (*Board)(nil)
 var _ FrameReader = (*Board)(nil)
-var _ ContextDownloader = (*Board)(nil)
 
 // NewBoard returns a board with a blank (unconfigured) device.
 func NewBoard(p *device.Part) *Board {
@@ -135,8 +126,9 @@ func (b *Board) Totals() (downloads, bytes int, modelTime time.Duration) {
 	return b.Downloads, b.TotalBytes, b.TotalModelTime
 }
 
-// Download implements HWIF: the bitstream is applied through the
-// configuration-port VM; a partial bitstream on a running device performs
+// Download feeds a bitstream to the board without a context (DownloadCtx is
+// the HWIF method): the bitstream is applied through the configuration-port
+// VM; a partial bitstream on a running device performs
 // dynamic partial reconfiguration (the rest of the device keeps its state).
 //
 // The download is transactional: the stream applies into a staging clone of
@@ -181,7 +173,7 @@ func (b *Board) Download(bs []byte) (DownloadStats, error) {
 	return ds, nil
 }
 
-// DownloadCtx implements ContextDownloader: Download gated on the context,
+// DownloadCtx implements HWIF: Download gated on the context,
 // with one structured log event per outcome (debug on success, warn on a
 // rolled-back stream) so request-scoped logs see the board's side of every
 // download.

@@ -218,37 +218,15 @@ type (
 // NewBoard returns a board holding a blank device of the given part.
 func NewBoard(p *Part) *Board { return xhwif.NewBoard(p) }
 
-// Robustness layer for the download/reconfiguration path (see
-// internal/xhwif and internal/faults). Board downloads are transactional —
-// a rejected stream leaves the device exactly as it was — and ReliableHWIF
-// adds bounded retries with exponential backoff + deterministic jitter,
-// per-download deadlines, and verify-after-write readback over any HWIF.
-// FaultInjector wraps a HWIF with seedable, reproducible link faults
-// (error-on-Nth, truncation, corruption, latency) so the retry and rollback
-// behaviour can be proven deterministically.
-type (
-	// ReliableHWIF retries, times out and verifies downloads over a HWIF.
-	ReliableHWIF = xhwif.ReliableHWIF
-	// RetryPolicy tunes a ReliableHWIF (attempts, backoff, deadline,
-	// verification).
-	RetryPolicy = xhwif.RetryPolicy
-	// FaultSpec selects which download attempts are faulted and how.
-	FaultSpec = faults.Spec
-	// FaultInjector perturbs downloads through a HWIF per a FaultSpec.
-	FaultInjector = faults.Injector
-)
-
-// NewReliable wraps a board (or any HWIF) with retries, deadlines and
-// verify-after-write per the policy.
-func NewReliable(inner HWIF, p RetryPolicy) *ReliableHWIF { return xhwif.NewReliable(inner, p) }
-
-// WrapFaults wraps a board (or any HWIF) with deterministic fault
-// injection.
-func WrapFaults(inner HWIF, s FaultSpec) *FaultInjector { return faults.Wrap(inner, s) }
-
-// ParseFaultSpec reads a fault spec string, e.g. "nth=2,mode=error,seed=7"
-// (the $JPG_FAULTS syntax).
-func ParseFaultSpec(s string) (FaultSpec, error) { return faults.Parse(s) }
+// DownloadLink puts a board (or any HWIF) behind the download stack:
+// deterministic fault injection (error-on-Nth, truncation, corruption,
+// latency) under a reliability layer with bounded retries, per-download
+// deadlines and verify-after-write readback. Board downloads are
+// transactional — a rejected stream leaves the device exactly as it was —
+// so retries always start from the pre-download state. Its Wrap returns
+// the board unchanged when no fault, retry, deadline or verify is asked
+// for (see internal/faults and internal/xhwif).
+type DownloadLink = faults.Link
 
 // Bitstream utilities.
 
