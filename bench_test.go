@@ -224,38 +224,6 @@ func BenchmarkAnnealMove(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteNet measures one rip-up-and-reroute of a net — the unit of
-// work the PathFinder iterations repeat. The allocation column is the
-// contract: 0 allocs/op once the pooled scratch is warm.
-func BenchmarkRouteNet(b *testing.B) {
-	p := device.MustByName("XCV50")
-	nl, err := designs.Standalone(designs.SBoxBank{N: 16, Seed: 9}, "sb", "u1/")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pd, err := place.PlaceCtx(context.Background(), p, nl, place.Options{Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	nb, err := route.NewNetBencher(pd)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nb.Close()
-	for i := 0; i < 200; i++ {
-		if err := nb.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := nb.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMultiStartPlace measures K-start placement at 1 worker vs all
 // cores; the ns/op ratio is the multi-start pool's wall-clock speedup. The
 // chosen placement is byte-identical across the sub-benchmarks (see

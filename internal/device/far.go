@@ -152,21 +152,28 @@ func (p *Part) NextFAR(f FAR) (next FAR, ok bool) {
 func (p *Part) FirstFAR() FAR { return MakeFAR(0, 0, 0) }
 
 // FrameIndex returns the linear index of frame f in device order, used to
-// index flat frame storage. It panics on invalid addresses.
+// index flat frame storage. It panics on invalid addresses. The index is
+// closed-form over the major ordering above: every column type has a fixed
+// frame count, so the frames before a major are a sum of products.
 func (p *Part) FrameIndex(f FAR) int {
 	if !p.ValidFAR(f) {
 		panic(fmt.Sprintf("device: invalid %v for %s", f, p.Name))
 	}
-	idx := 0
-	for bt := 0; bt < f.BlockType(); bt++ {
-		for maj := 0; maj < p.NumMajors(bt); maj++ {
-			idx += p.FramesInMajor(bt, maj)
-		}
+	maj, idx := f.Major(), f.Minor()
+	clbEnd := FramesClockCol + p.Cols*FramesCLBCol
+	iobEnd := clbEnd + 2*FramesIOBCol
+	switch {
+	case f.BlockType() == BlockBRAM:
+		idx += iobEnd + 2*FramesBRAMIntCol + maj*FramesBRAMCol
+	case maj == 0:
+	case maj <= p.Cols:
+		idx += FramesClockCol + (maj-1)*FramesCLBCol
+	case maj <= p.Cols+2:
+		idx += clbEnd + (maj-p.Cols-1)*FramesIOBCol
+	default:
+		idx += iobEnd + (maj-p.Cols-3)*FramesBRAMIntCol
 	}
-	for maj := 0; maj < f.Major(); maj++ {
-		idx += p.FramesInMajor(f.BlockType(), maj)
-	}
-	return idx + f.Minor()
+	return idx
 }
 
 // FARAt is the inverse of FrameIndex.

@@ -1,6 +1,7 @@
 package frames
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/device"
@@ -41,6 +42,46 @@ func TestDirtyTrackingSetBit(t *testing.T) {
 	m.StopTracking()
 	if m.Tracking() {
 		t.Fatal("StopTracking left tracking on")
+	}
+}
+
+// TestClearBitsMatchesSetBit checks the word-masked range clear against a
+// SetBit loop over the same range, contents and dirty bit, for ranges that
+// start and end on and off word boundaries, are empty, or span the frame.
+func TestClearBitsMatchesSetBit(t *testing.T) {
+	p := device.MustByName("XCV50")
+	f := device.MakeFAR(device.BlockCLB, p.CLBMajor(7), 11)
+	rng := rand.New(rand.NewSource(15))
+	n := p.FrameBits()
+	ranges := [][2]int{{0, 0}, {0, n}, {0, 32}, {32, 64}, {31, 33}, {5, 6}, {n - 1, n}}
+	for i := 0; i < 200; i++ {
+		a, b := rng.Intn(n+1), rng.Intn(n+1)
+		ranges = append(ranges, [2]int{min(a, b), max(a, b)})
+	}
+	for i, r := range ranges {
+		got := New(p)
+		words := make([]uint32, p.FrameWords())
+		if i%3 != 0 { // every third frame starts blank, so nothing changes
+			for k := range words {
+				words[k] = rng.Uint32()
+			}
+		}
+		if err := got.SetFrame(f, words); err != nil {
+			t.Fatal(err)
+		}
+		want := got.Clone()
+		got.StartTracking()
+		want.StartTracking()
+		got.ClearBits(f, r[0], r[1])
+		for b := r[0]; b < r[1]; b++ {
+			want.SetBit(device.BitCoord{FAR: f, Bit: b}, false)
+		}
+		if !got.FrameEqual(want, f) {
+			t.Fatalf("ClearBits(%d, %d) frame %x, SetBit loop %x", r[0], r[1], got.Frame(f), want.Frame(f))
+		}
+		if got.FrameDirty(f) != want.FrameDirty(f) {
+			t.Fatalf("ClearBits(%d, %d) dirty %v, SetBit loop %v", r[0], r[1], got.FrameDirty(f), want.FrameDirty(f))
+		}
 	}
 }
 

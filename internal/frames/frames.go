@@ -18,8 +18,8 @@ type Memory struct {
 	data []uint32
 	// dirty, when non-nil, is a per-frame bitset of frames whose content has
 	// changed since tracking started (see dirty.go). Only the setter APIs
-	// (SetBit, SetFrame, Clear, CopyFrames) maintain it; writes through the
-	// aliasing Frame slice are invisible to tracking.
+	// (SetBit, ClearBits, SetFrame, Clear, CopyFrames) maintain it; writes
+	// through the aliasing Frame slice are invisible to tracking.
 	dirty []uint64
 }
 
@@ -53,9 +53,10 @@ func (m *Memory) SetFrame(f device.FAR, words []uint32) error {
 	if len(words) != m.Part.FrameWords() {
 		return fmt.Errorf("frames: frame payload %d words, want %d", len(words), m.Part.FrameWords())
 	}
-	dst := m.Frame(f)
+	i := m.Part.FrameIndex(f)
+	dst := m.data[i*len(words) : (i+1)*len(words)]
 	if m.dirty != nil && !wordsEqual(dst, words) {
-		m.markDirty(m.Part.FrameIndex(f))
+		m.markDirty(i)
 	}
 	copy(dst, words)
 	return nil
@@ -81,6 +82,29 @@ func (m *Memory) SetBit(bc device.BitCoord, v bool) {
 		*word &^= mask
 	}
 	if m.dirty != nil && *word != old {
+		m.markDirty(i)
+	}
+}
+
+// ClearBits zeroes bits [from, to) of the addressed frame, a word mask at a
+// time. Like SetBit, it marks the frame dirty only if a word changed.
+func (m *Memory) ClearBits(f device.FAR, from, to int) {
+	i := m.Part.FrameIndex(f)
+	fw := m.Part.FrameWords()
+	w := m.data[i*fw : (i+1)*fw]
+	changed := false
+	for b := from; b < to; {
+		base := b &^ 31
+		end := min(to, base+32)
+		// Frame bit k of this word sits at position 31-(k-base): the mask
+		// keeps in-word offsets [b-base, end-base).
+		mask := ^uint32(0) >> (b - base) &^ (^uint32(0) >> (end - base))
+		word := &w[b/32]
+		changed = changed || *word&mask != 0
+		*word &^= mask
+		b = end
+	}
+	if m.dirty != nil && changed {
 		m.markDirty(i)
 	}
 }

@@ -123,27 +123,27 @@ func (j *JBits) GetPadMode(pad device.Pad, ctl int) (bool, error) {
 }
 
 // ClearCLB zeroes every configuration bit owned by a CLB (logic and PIPs).
-// JPG uses this to blank a region before replaying a variant module.
 func (j *JBits) ClearCLB(row, col int) error {
 	if err := j.checkCLB(row, col); err != nil {
 		return err
 	}
-	for b := 0; b < device.CLBLocalBits; b++ {
-		j.Mem.SetBit(j.Part.CLBBit(row, col, b), false)
-	}
-	return nil
+	return j.ClearRegion(frames.Region{R1: row, C1: col, R2: row, C2: col})
 }
 
-// ClearRegion blanks every CLB in the region.
+// ClearRegion blanks every CLB in the region. JPG uses this to blank a
+// region before replaying a variant module. A region's CLBs own one
+// contiguous run of row stripes in each of their columns' frames, so the
+// region clears as one bit range per frame.
 func (j *JBits) ClearRegion(rg frames.Region) error {
 	if !rg.Valid(j.Part) {
 		return fmt.Errorf("jbits: region %v invalid for %s", rg, j.Part.Name)
 	}
-	for r := rg.R1; r <= rg.R2; r++ {
-		for c := rg.C1; c <= rg.C2; c++ {
-			if err := j.ClearCLB(r, c); err != nil {
-				return err
-			}
+	const stripe = device.CLBLocalBits / device.FramesCLBCol
+	for c := rg.C1; c <= rg.C2; c++ {
+		for minor := 0; minor < device.FramesCLBCol; minor++ {
+			first := j.Part.CLBBit(rg.R1, c, minor*stripe)
+			last := j.Part.CLBBit(rg.R2, c, minor*stripe+stripe-1)
+			j.Mem.ClearBits(first.FAR, first.Bit, last.Bit+1)
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package route
 import (
 	"fmt"
 
-	"repro/internal/device"
 	"repro/internal/phys"
 )
 
@@ -20,16 +19,13 @@ type NetBencher struct {
 	idx  int
 }
 
-// NewNetBencher prepares a router over the placed design with default
-// options and routes every net once, so Steps measure steady-state rerouting
+// NewNetBencher prepares a router over the placed design with opts (zero
+// values defaulted as in RouteCtx; RegionForNet constrains nets as it does
+// there) and routes every net once, so Steps measure steady-state rerouting
 // (warm scratch, stable tree capacities). Call Close when done to return the
 // scratch to the pool.
-func NewNetBencher(d *phys.Design) (*NetBencher, error) {
-	r := &router{
-		d:    d,
-		g:    device.NewGraph(d.Part),
-		opts: Options{MaxIters: 48, PresentFactor: 0.6, HistoryFactor: 0.35},
-	}
+func NewNetBencher(d *phys.Design, opts Options) (*NetBencher, error) {
+	r := newRouter(d, opts)
 	r.s = getScratch(d.Part.NumNodes())
 	nets, err := r.collectNets()
 	if err != nil {

@@ -21,33 +21,41 @@ import (
 // needs: everything a module's netlist configures then lives in its own
 // columns, so rewriting those columns swaps the module completely.
 
-// regionFilter returns an allow predicate for pips of a net constrained to
-// rg, or nil when unconstrained.
-func regionFilter(p *device.Part, rg *frames.Region) func(device.PIP) bool {
-	if rg == nil {
-		return nil
-	}
-	r := *rg
+// regionMask is the containment test for nets constrained to one region: a
+// pip is allowed iff its tile lies in r and both its nodes are admitted by
+// ok. The per-node answer is computed once per region, so the A* inner loop
+// pays two slice loads per expanded edge instead of classifying each node.
+type regionMask struct {
+	r  frames.Region
+	ok []bool // indexed by device.NodeID
+}
+
+// newRegionMask admits every node of p the discipline above allows for r.
+// It is the router's single definition of region containment.
+func newRegionMask(p *device.Part, r frames.Region) *regionMask {
 	fullHeight := r.R1 == 0 && r.R2 == p.Rows-1
 	fullWidth := r.C1 == 0 && r.C2 == p.Cols-1
-	nodeOK := func(n device.NodeID) bool {
-		d := p.DescribeNode(n)
+	ok := make([]bool, p.NumNodes())
+	for i := range ok {
+		d := p.DescribeNode(device.NodeID(i))
 		switch d.Kind {
 		case device.NodeWire:
-			return r.Contains(d.A, d.B)
+			ok[i] = r.Contains(d.A, d.B)
 		case device.NodeGlobal:
-			return true
+			ok[i] = true
 		case device.NodeColLong:
-			return fullHeight && d.B >= r.C1 && d.B <= r.C2
+			ok[i] = fullHeight && d.B >= r.C1 && d.B <= r.C2
 		case device.NodeRowLong:
-			return fullWidth && d.A >= r.R1 && d.A <= r.R2
+			ok[i] = fullWidth && d.A >= r.R1 && d.A <= r.R2
 		case device.NodePadI, device.NodePadO:
 			pr, pc := p.PadTile(d.Pad)
-			return r.Contains(pr, pc)
+			ok[i] = r.Contains(pr, pc)
 		}
-		return false
 	}
-	return func(pip device.PIP) bool {
-		return r.Contains(pip.Row, pip.Col) && nodeOK(pip.Src) && nodeOK(pip.Dst)
-	}
+	return &regionMask{r: r, ok: ok}
+}
+
+// allows reports whether a constrained net may use pip.
+func (m *regionMask) allows(pip device.PIP) bool {
+	return m.r.Contains(pip.Row, pip.Col) && m.ok[pip.Src] && m.ok[pip.Dst]
 }

@@ -59,20 +59,7 @@ var (
 // observability: each PathFinder iteration is a "route.iter" span carrying
 // its overuse count.
 func RouteCtx(ctx context.Context, d *phys.Design, opts Options) error {
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 48
-	}
-	if opts.PresentFactor <= 0 {
-		opts.PresentFactor = 0.6
-	}
-	if opts.HistoryFactor <= 0 {
-		opts.HistoryFactor = 0.35
-	}
-	r := &router{
-		d:    d,
-		g:    device.NewGraph(d.Part),
-		opts: opts,
-	}
+	r := newRouter(d, opts)
 	if err := r.routeClocks(); err != nil {
 		return err
 	}
@@ -88,6 +75,20 @@ func RouteCtx(ctx context.Context, d *phys.Design, opts Options) error {
 	mRetries.Add(r.retries)
 	mHeapPushes.Add(r.pushes)
 	return d.CheckRoutes()
+}
+
+// newRouter returns a router over d with opts' zero values defaulted.
+func newRouter(d *phys.Design, opts Options) *router {
+	if opts.MaxIters <= 0 {
+		opts.MaxIters = 48
+	}
+	if opts.PresentFactor <= 0 {
+		opts.PresentFactor = 0.6
+	}
+	if opts.HistoryFactor <= 0 {
+		opts.HistoryFactor = 0.35
+	}
+	return &router{d: d, g: device.NewGraph(d.Part), opts: opts}
 }
 
 type router struct {
@@ -196,8 +197,8 @@ type fabricNet struct {
 	net   *netlist.Net
 	src   device.NodeID
 	sinks []device.NodeID
-	allow func(device.PIP) bool // nil = unconstrained
-	tree  []treeEdge            // current routing
+	mask  *regionMask // nil = unconstrained
+	tree  []treeEdge  // current routing
 }
 
 type treeEdge struct {
@@ -207,10 +208,11 @@ type treeEdge struct {
 
 // collectNets gathers the fabric-routable nets in deterministic order:
 // sorted netlist order, then high-fanout first (stable), so the negotiation
-// schedule never depends on map iteration.
+// schedule never depends on map iteration. Constrained nets share one
+// regionMask per distinct region.
 func (r *router) collectNets() ([]*fabricNet, error) {
-	part := r.d.Part
 	var nets []*fabricNet
+	masks := map[frames.Region]*regionMask{}
 	for _, net := range r.d.Netlist.SortedNets() {
 		if net.IsClock || !net.Driven() {
 			continue
@@ -228,7 +230,12 @@ func (r *router) collectNets() ([]*fabricNet, error) {
 		}
 		fn := &fabricNet{net: net, src: src, sinks: sinks}
 		if r.opts.RegionForNet != nil {
-			fn.allow = regionFilter(part, r.opts.RegionForNet(net))
+			if rg := r.opts.RegionForNet(net); rg != nil {
+				if masks[*rg] == nil {
+					masks[*rg] = newRegionMask(r.d.Part, *rg)
+				}
+				fn.mask = masks[*rg]
+			}
 		}
 		nets = append(nets, fn)
 	}
@@ -314,7 +321,7 @@ func (r *router) nodeCost(node device.NodeID, presentFac float64) float64 {
 func (r *router) routeNet(fn *fabricNet, presentFac float64) error {
 	treeNodes := append(r.s.tree[:0], fn.src)
 	for _, sink := range fn.sinks {
-		path, err := r.search(treeNodes, sink, presentFac, fn.allow)
+		path, err := r.search(treeNodes, sink, presentFac, fn.mask)
 		if err != nil {
 			return fmt.Errorf("net %q to %s: %w", fn.net.Name, r.d.Part.NodeName(sink), err)
 		}
@@ -346,17 +353,17 @@ const searchMargin = 3
 // restricts expansion to a window around the net (plus every off-fabric
 // node: globals, long lines, pads); if the window starves it retries over
 // the whole graph so completeness is never lost.
-func (r *router) search(tree []device.NodeID, target device.NodeID, presentFac float64, allow func(device.PIP) bool) ([]treeEdge, error) {
+func (r *router) search(tree []device.NodeID, target device.NodeID, presentFac float64, mask *regionMask) ([]treeEdge, error) {
 	r.searches++
-	path, err := r.searchWindow(tree, target, presentFac, allow, true)
+	path, err := r.searchWindow(tree, target, presentFac, mask, true)
 	if err == nil {
 		return path, nil
 	}
 	r.retries++
-	return r.searchWindow(tree, target, presentFac, allow, false)
+	return r.searchWindow(tree, target, presentFac, mask, false)
 }
 
-func (r *router) searchWindow(tree []device.NodeID, target device.NodeID, presentFac float64, allow func(device.PIP) bool, bounded bool) ([]treeEdge, error) {
+func (r *router) searchWindow(tree []device.NodeID, target device.NodeID, presentFac float64, mask *regionMask, bounded bool) ([]treeEdge, error) {
 	part := r.d.Part
 	s := r.s
 	epoch := s.nextEpoch()
@@ -409,7 +416,7 @@ func (r *router) searchWindow(tree []device.NodeID, target device.NodeID, presen
 			continue // stale entry
 		}
 		for _, pip := range r.g.From(cur.node) {
-			if allow != nil && !allow(pip) {
+			if mask != nil && !mask.allows(pip) {
 				continue
 			}
 			if bounded {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/ucf"
 )
 
-func placeDesign(t *testing.T, partName string, nl *netlist.Design, cons *ucf.Constraints, seed int64) *phys.Design {
+func placeDesign(t testing.TB, partName string, nl *netlist.Design, cons *ucf.Constraints, seed int64) *phys.Design {
 	t.Helper()
 	d, err := place.PlaceCtx(context.Background(), device.MustByName(partName), nl, place.Options{Seed: seed, Constraints: cons})
 	if err != nil {
